@@ -5,6 +5,7 @@
 
 #include "polymg/common/error.hpp"
 #include "polymg/common/fault.hpp"
+#include "polymg/common/parallel.hpp"
 #include "polymg/obs/metrics.hpp"
 #include "polymg/obs/trace.hpp"
 #include "polymg/runtime/pool.hpp"
@@ -214,6 +215,19 @@ void interp_correct_rows(int ndim, View v_fine, View e_coarse, index_t flo,
   }
 }
 
+/// fn(r) for every rank, ranks spread over the team: each touches only
+/// its own rows, so they run concurrently.
+template <typename Fn>
+void for_each_rank(int ranks, Fn&& fn) {
+  note_parallel_region();
+#pragma omp parallel for schedule(static)
+  for (int r = 0; r < ranks; ++r) {
+    fn(r);
+    tsan_join_release();
+  }
+  tsan_join_acquire();
+}
+
 /// Row-block copy between two ranks' local views (global coordinates).
 void copy_rows(int ndim, View dst, View src, index_t rlo, index_t rhi,
                index_t n) {
@@ -392,8 +406,7 @@ void DistMgSolver::smooth(int level, int steps) {
     // Communication aggregation: one exchange of depth s covers s steps
     // with redundant halo computation shrinking by one row per step.
     exchange(level, /*v=*/0, s);
-#pragma omp parallel for schedule(static)
-    for (int r = 0; r < decomp_.ranks(); ++r) {
+    for_each_rank(decomp_.ranks(), [&](int r) {
       RankLevel& rl = lvl[static_cast<std::size_t>(r)];
       View bufs[2] = {rl.vv(), rl.tv()};
       for (int j = 0; j < s; ++j) {
@@ -406,7 +419,7 @@ void DistMgSolver::smooth(int level, int steps) {
       if (s & 1) {  // result landed in tmp: move the owned rows back
         copy_rows(cfg_.ndim, rl.vv(), rl.tv(), rl.owned.lo, rl.owned.hi, n);
       }
-    }
+    });
     done += s;
   }
 }
@@ -416,12 +429,11 @@ void DistMgSolver::residual(int level) {
   auto& lvl = state_[static_cast<std::size_t>(level)];
   const index_t n = cfg_.level_n(level);
   const double inv_h2 = 1.0 / (cfg_.level_h(level) * cfg_.level_h(level));
-#pragma omp parallel for schedule(static)
-  for (int r = 0; r < decomp_.ranks(); ++r) {
+  for_each_rank(decomp_.ranks(), [&](int r) {
     RankLevel& rl = lvl[static_cast<std::size_t>(r)];
     residual_rows(cfg_.ndim, rl.rv(), rl.vv(), rl.fv(), rl.owned.lo,
                   rl.owned.hi, n, inv_h2);
-  }
+  });
 }
 
 void DistMgSolver::restrict_to(int level) {
@@ -429,12 +441,11 @@ void DistMgSolver::restrict_to(int level) {
   auto& fine = state_[static_cast<std::size_t>(level)];
   auto& coarse = state_[static_cast<std::size_t>(level - 1)];
   const index_t nc = cfg_.level_n(level - 1);
-#pragma omp parallel for schedule(static)
-  for (int r = 0; r < decomp_.ranks(); ++r) {
+  for_each_rank(decomp_.ranks(), [&](int r) {
     RankLevel& cf = coarse[static_cast<std::size_t>(r)];
     RankLevel& fr = fine[static_cast<std::size_t>(r)];
     restrict_rows(cfg_.ndim, cf.fv(), fr.rv(), cf.owned.lo, cf.owned.hi, nc);
-  }
+  });
   // The coarse right-hand side halo feeds aggregated smoothing there.
   exchange(level - 1, /*f=*/1, ghost_depth_);
 }
@@ -444,13 +455,12 @@ void DistMgSolver::interp_correct(int level) {
   auto& fine = state_[static_cast<std::size_t>(level)];
   auto& coarse = state_[static_cast<std::size_t>(level - 1)];
   const index_t nf = cfg_.level_n(level);
-#pragma omp parallel for schedule(static)
-  for (int r = 0; r < decomp_.ranks(); ++r) {
+  for_each_rank(decomp_.ranks(), [&](int r) {
     RankLevel& fr = fine[static_cast<std::size_t>(r)];
     RankLevel& cf = coarse[static_cast<std::size_t>(r)];
     interp_correct_rows(cfg_.ndim, fr.vv(), cf.vv(), fr.owned.lo,
                         fr.owned.hi, nf);
-  }
+  });
 }
 
 void DistMgSolver::zero_v(int level) {

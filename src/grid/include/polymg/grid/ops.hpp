@@ -1,6 +1,20 @@
-// Bulk grid utilities: fills, norms, comparisons, region copies.
-// These are host-side helpers (problem setup, verification, metrics), not
-// the pipeline kernels — those live in polymg::runtime.
+// Bulk grid ops: fills, norms, comparisons, region copies and adds.
+//
+// copy_region and add_region sit on every solve path — each opt+ cycle
+// copies (or, under mixed precision, adds) the pipeline output back into
+// the iterate — so they run at memory bandwidth: the region is walked one
+// contiguous row (its last dimension, stride 1 in every PolyMG view) at a
+// time, the dtype pair is chosen once per call, and a same-dtype copy row
+// is a single memmove. A top-level call on a region of at least 1 << 15
+// points splits dim 0 (rows in 2-d, planes in 3-d) across the team with
+// one parallel region; smaller regions, 1-d regions (a single row) and
+// calls made from inside a parallel region run serially on the caller.
+// Fills and norms walk the same rows serially, in row-major order.
+//
+// Every result is bit-identical to a point-by-point loop: loads promote
+// to double, stores round once, adds accumulate in double, l2_norm sums
+// in row-major order, and the max-norms propagate NaN. The parallel
+// split only partitions disjoint rows, so it changes no result.
 #pragma once
 
 #include <functional>

@@ -131,10 +131,13 @@ void trace_instant(EventKind kind, int group, int stage, int id,
 void trace_span(EventKind kind, std::int64_t t0_ns, int group, int stage,
                 int id, double value = 0.0, std::int32_t req = -1);
 
-/// Process-global trace session: one ring buffer per OpenMP thread slot,
+/// Process-global trace session: one ring buffer per OpenMP thread slot
+/// for events recorded inside an active parallel region, plus one per
+/// OS thread for events recorded outside one (a solver, a service worker
+/// between runs, its supervisor, the caller — all OpenMP thread 0 there),
 /// sized once at start(). start/stop/snapshot must be called from serial
 /// code (outside executor runs); recording itself is safe from any team
-/// thread.
+/// thread and from any number of threads outside parallel regions.
 class TraceSession {
 public:
   /// Allocate rings (one per current max_threads() slot, capacity rounded
@@ -152,8 +155,9 @@ public:
   /// beyond the ring table, across the session.
   static std::uint64_t dropped();
 
-  /// Buffered events, oldest first within each thread, threads
-  /// concatenated in id order. Call after stop().
+  /// Buffered events, oldest first within each ring: the out-of-region
+  /// rings first (all thread id 0), then the team rings in thread-id
+  /// order. Call after stop().
   static std::vector<TraceEvent> snapshot();
 
   /// Rings allocated by the active/last session.

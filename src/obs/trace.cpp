@@ -22,11 +22,19 @@ struct alignas(64) Ring {
   std::uint64_t drops = 0;  ///< events overwritten by wraparound
 };
 
+/// Rings for events recorded outside any active parallel region, one per
+/// recording OS thread and session. Outside a region every thread is
+/// OpenMP thread 0, so the solver, the service's workers and supervisor
+/// and the caller would otherwise all write team ring 0 at once.
+constexpr std::size_t kSerialRings = 64;
+
 struct Session {
-  std::vector<Ring> rings;
+  std::vector<Ring> rings;  ///< kSerialRings serial rings, then team rings
   std::size_t mask = 0;  ///< capacity - 1 (capacity is a power of two)
   Clock::time_point epoch{};
   std::atomic<std::uint64_t> tid_drops{0};  ///< thread id beyond the table
+  std::atomic<std::uint64_t> generation{0};  ///< bumped by every start()
+  std::atomic<std::size_t> serial_used{0};   ///< serial rings handed out
   /// Whether this session's drops were already folded into the
   /// obs.dropped_events counter (stop() is idempotent).
   bool drops_accounted = true;
@@ -100,15 +108,37 @@ std::int64_t trace_now_ns() {
 
 namespace {
 
+/// Ring index of the calling thread: its team slot inside an active
+/// parallel region, else its own serial ring (claimed on the thread's
+/// first event of the session). kNoRing when the table is exhausted.
+constexpr std::size_t kNoRing = ~std::size_t{0};
+
+std::size_t ring_index(Session& s, int tid) {
+  if (in_parallel()) {
+    const std::size_t i = kSerialRings + static_cast<std::size_t>(tid);
+    return i < s.rings.size() ? i : kNoRing;
+  }
+  thread_local std::uint64_t gen = 0;
+  thread_local std::size_t slot = kNoRing;
+  const std::uint64_t g = s.generation.load(std::memory_order_relaxed);
+  if (gen != g) {
+    gen = g;
+    slot = s.serial_used.fetch_add(1, std::memory_order_relaxed);
+    if (slot >= kSerialRings) slot = kNoRing;
+  }
+  return slot;
+}
+
 void record(EventKind kind, std::int64_t ts_ns, std::int64_t dur_ns,
             int group, int stage, int id, double value, std::int32_t req) {
   Session& s = session();
   const int tid = thread_id();
-  if (static_cast<std::size_t>(tid) >= s.rings.size()) {
+  const std::size_t ri = ring_index(s, tid);
+  if (ri == kNoRing) {
     s.tid_drops.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  Ring& r = s.rings[static_cast<std::size_t>(tid)];
+  Ring& r = s.rings[ri];
   // Rings are single-writer, so the owning thread can allocate its own
   // buffer on first use — the ring table covers thread counts raised
   // after start() (set_num_threads mid-benchmark) without paying the
@@ -154,14 +184,17 @@ void TraceSession::start(std::size_t events_per_thread) {
   // set_num_threads between series); only the current team's buffers are
   // paid for eagerly, the rest allocate on first use.
   constexpr std::size_t kMaxTracedThreads = 64;
-  s.rings.assign(std::max<std::size_t>(
-                     static_cast<std::size_t>(max_threads()),
-                     kMaxTracedThreads),
+  s.rings.assign(kSerialRings + std::max<std::size_t>(
+                                    static_cast<std::size_t>(max_threads()),
+                                    kMaxTracedThreads),
                  Ring{});
   for (int t = 0; t < max_threads(); ++t) {
-    s.rings[static_cast<std::size_t>(t)].buf.assign(cap, TraceEvent{});
+    s.rings[kSerialRings + static_cast<std::size_t>(t)].buf.assign(
+        cap, TraceEvent{});
   }
   s.tid_drops.store(0, std::memory_order_relaxed);
+  s.serial_used.store(0, std::memory_order_relaxed);
+  s.generation.fetch_add(1, std::memory_order_relaxed);
   s.drops_accounted = false;
   s.epoch = Clock::now();
   g_enabled.store(true, std::memory_order_release);

@@ -172,7 +172,7 @@ Executor::Executor(opt::CompiledPipeline plan) : plan_(std::move(plan)) {
     node_remaining_ = std::vector<std::atomic<index_t>>(nnodes);
     node_complete_ = std::vector<std::atomic<std::uint8_t>>(nnodes);
     phase_completed_ = std::vector<std::atomic<index_t>>(phases_.size());
-    group_ensured_ = std::vector<std::atomic<std::uint8_t>>(ngroups);
+    group_ensured_.assign(ngroups, 0);
     node_seconds_acc_.assign(workspaces_.size() * nnodes, 0.0);
   }
 }
@@ -846,32 +846,18 @@ void Executor::reset_sched_state() {
     node_complete_[ni].store(0, std::memory_order_relaxed);
   }
   frontier_.store(0, std::memory_order_relaxed);
+  retired_ = 0;
   for (auto& pc : phase_completed_) pc.store(0, std::memory_order_relaxed);
-  for (auto& ge : group_ensured_) ge.store(0, std::memory_order_relaxed);
+  std::fill(group_ensured_.begin(), group_ensured_.end(), 0);
   std::fill(node_seconds_acc_.begin(), node_seconds_acc_.end(), 0.0);
 }
 
 void Executor::ensure_group_arrays_locked(int gi) {
-  if (group_ensured_[static_cast<std::size_t>(gi)].load(
-          std::memory_order_relaxed)) {
-    return;
-  }
+  if (group_ensured_[static_cast<std::size_t>(gi)] != 0) return;
   for (const StagePlan& sp : plan_.groups[static_cast<std::size_t>(gi)].stages) {
     if (sp.array >= 0) ensure_array(sp.array);
   }
-  // Release pairs with the acquire fast path in ensure_group_arrays: a
-  // thread seeing 1 sees the array_ptr_ stores above.
-  group_ensured_[static_cast<std::size_t>(gi)].store(
-      1, std::memory_order_release);
-}
-
-void Executor::ensure_group_arrays(int gi) {
-  if (group_ensured_[static_cast<std::size_t>(gi)].load(
-          std::memory_order_acquire)) {
-    return;
-  }
-  std::lock_guard<std::mutex> lk(pool_mu_);
-  ensure_group_arrays_locked(gi);
+  group_ensured_[static_cast<std::size_t>(gi)] = 1;
 }
 
 void Executor::push_task(index_t t) {
@@ -906,6 +892,10 @@ void Executor::open_gate(index_t node) {
   const SchedNode& n = sg.nodes[static_cast<std::size_t>(node)];
   // Collective nodes are ordered by their phase's barriers.
   if (n.collective) return;
+  // Gates open in node order under pool_mu_, so making the group's
+  // arrays live here gives the pool the same allocate/release sequence
+  // on every run, whatever the task interleaving.
+  ensure_group_arrays_locked(n.group);
   ctr_gate_opens_->add(1);
   PMG_TRACE_INSTANT_R(GateOpen, n.group, n.stage, static_cast<int>(node),
                       static_cast<double>(n.ntasks), trace_req_);
@@ -918,8 +908,14 @@ void Executor::open_gate(index_t node) {
 }
 
 void Executor::retire_node(index_t k) {
-  const opt::SchedGraph& sg = plan_.sched;
   std::lock_guard<std::mutex> lk(pool_mu_);
+  // Two frontier CAS winners can reach the lock out of order: retire
+  // every node up to k in node order, whoever holds the lock.
+  while (retired_ <= k) retire_locked(retired_++);
+}
+
+void Executor::retire_locked(index_t k) {
+  const opt::SchedGraph& sg = plan_.sched;
   // Pool releases stay sound under overlap: an array released here had
   // its last use in a group whose nodes all sit at or before the
   // frontier, and the only nodes still in flight are at most one past it
@@ -987,16 +983,14 @@ void Executor::exec_task(index_t t, std::span<const View> externals,
                          int tid) {
   const int ni = task_node_[static_cast<std::size_t>(t)];
   const SchedNode& n = plan_.sched.nodes[static_cast<std::size_t>(ni)];
-  // Task-granular poll. An aborted task skips its kernel body (and its
-  // group's allocations) but MUST still run finish_task: successor
-  // releases, node retirement and the phase-exit counter are what let
-  // every thread leave the parallel region — the abort drains the
-  // protocol instead of abandoning it.
+  // Task-granular poll. An aborted task skips its kernel body but MUST
+  // still run finish_task: successor releases, node retirement and the
+  // phase-exit counter are what let every thread leave the parallel
+  // region — the abort drains the protocol instead of abandoning it.
   if (poll_abort()) {
     finish_task(t, ni);
     return;
   }
-  ensure_group_arrays(n.group);
   Timer tm;
   if (n.stage >= 0) {
     const GroupPlan& g = plan_.groups[static_cast<std::size_t>(n.group)];

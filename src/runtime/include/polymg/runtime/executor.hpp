@@ -236,15 +236,19 @@ private:
   bool pop_task(index_t& out);
   void node_done(int node);
   void advance_frontier();
+  /// Retire every node up to `k` not yet retired, in node order.
   void retire_node(index_t k);
+  /// Pooled releases after node `k` and the gate of node k+2. Serialized
+  /// by pool_mu_.
+  void retire_locked(index_t k);
   /// Release the gate predecessor of every task of `node` (skips
   /// collectives — their ordering comes from the phase barriers).
   /// Serialized by pool_mu_.
   void open_gate(index_t node);
-  /// Make a group's arrays live on first use (double-checked: arrays are
-  /// allocated when the group's first task starts, not when its gate
-  /// opens, so pooled lifetimes match the barrier schedule's).
-  void ensure_group_arrays(int gi);
+  /// Make a group's arrays live (once per run). The dependence schedule
+  /// calls it when a node's gate opens, so the pool sees one
+  /// interleaving-independent sequence of allocations and releases.
+  /// Serialized by pool_mu_.
   void ensure_group_arrays_locked(int gi);
   void run_collective_phase(const Phase& ph,
                             std::span<const View> externals, int tid);
@@ -280,8 +284,9 @@ private:
   std::atomic<index_t> frontier_{0};
   std::vector<std::atomic<index_t>> phase_completed_;
   std::vector<index_t> phase_total_;
-  std::vector<std::atomic<std::uint8_t>> group_ensured_;  // per group, this run
   std::mutex pool_mu_;  // pool / array_ptr_ mutations inside the region
+  std::vector<std::uint8_t> group_ensured_;  // per group, this run; pool_mu_
+  index_t retired_ = 0;  // nodes retired this run; pool_mu_
   View time_bufs_[2];   // collective-phase ping-pong pair (set by tid 0)
   std::vector<double> node_seconds_acc_;  // [tid * nnodes + node]
 

@@ -41,10 +41,12 @@
 //
 // Threading: workers are plain std::threads; each one runs its solves'
 // OpenMP regions independently (deliberate oversubscription is the
-// overload scenario the bench measures). Tracing's per-thread rings are
-// single-writer per OMP thread id, which concurrent workers would share
-// — run traced sessions with one worker; metrics and reports are safe
-// at any worker count.
+// overload scenario the bench measures). Events a worker, the
+// supervisor or a caller records outside a parallel region each land in
+// that thread's own trace ring, but team rings are per OpenMP thread id,
+// which the teams of concurrent workers would share — run traced
+// sessions with one worker; metrics and reports are safe at any worker
+// count.
 #pragma once
 
 #include <atomic>
@@ -125,7 +127,8 @@ struct ServiceConfig {
 
   // Bounded shutdown. Phase 1 drains: workers finish in-flight solves
   // and exit, waited up to shutdown_drain_ms. Phase 2 cancels whatever
-  // is still running and waits shutdown_kill_grace_ms more. Stragglers
+  // is still running and waits shutdown_kill_grace_ms more (workers the
+  // watchdog already declared lost get only this grace). Stragglers
   // are detached — counted in service.leaked_workers and reported as a
   // RunReport warning — instead of blocking the caller forever.
   double shutdown_drain_ms = 60000.0;
@@ -253,7 +256,9 @@ public:
   /// worker is doing. Idempotent; the destructor calls it.
   void shutdown();
 
-  /// Workers detached by shutdown() because they refused to exit.
+  /// Workers left running by shutdown() because they refused to exit:
+  /// stuck slot workers it detached, and lost workers the watchdog had
+  /// replaced that were still running past the grace.
   int leaked_workers() const;
 
   std::size_t queue_depth() const;
@@ -338,6 +343,10 @@ private:
   std::vector<std::shared_ptr<WorkerCtl>> ctls_;          // guarded by mu_
   std::vector<std::shared_ptr<WorkerSession>> sessions_;  // guarded by mu_
   std::vector<std::thread> workers_;                      // guarded by mu_
+  /// Control blocks of workers the watchdog declared lost (stage 3).
+  /// Their threads are detached but still touch mu_ on the way out, so
+  /// shutdown() waits for them too; one that never exits is leaked.
+  std::vector<std::shared_ptr<WorkerCtl>> retired_;       // guarded by mu_
   int leaked_workers_ = 0;  // guarded by mu_
   std::thread supervisor_;
   std::atomic<bool> supervisor_stop_{false};

@@ -65,7 +65,10 @@ struct SolveService::WorkerCtl {
   std::atomic<std::uint64_t> job_id{0};     ///< current job, 0 = idle
   std::atomic<bool> quarantine{false};      ///< stage 2: drop session state
   std::atomic<bool> killed{false};          ///< stage 3 / shutdown: abandon
-  std::atomic<bool> exited{false};          ///< worker_main returned
+  /// worker_main is done with the service: the thread's last write to
+  /// anything the service can see. Only the thread's own stack and the
+  /// shared_ptr-owned ctl/session outlive it.
+  std::atomic<bool> exited{false};
 };
 
 /// Per-worker persistent serving state. Touched only by its own worker
@@ -319,36 +322,43 @@ void SolveService::shutdown() {
   supervisor_stop_.store(true, std::memory_order_relaxed);
   if (supervisor_.joinable()) supervisor_.join();
 
-  const auto all_exited = [&] {
+  // With the supervisor joined, ctls_ and retired_ no longer change.
+  const auto all_exited = [&](bool with_retired) {
     for (const auto& c : ctls_) {
       if (!c->exited.load(std::memory_order_acquire)) return false;
     }
+    if (with_retired) {
+      for (const auto& c : retired_) {
+        if (!c->exited.load(std::memory_order_acquire)) return false;
+      }
+    }
     return true;
   };
-  const auto wait_exit = [&](double budget_ms) {
+  const auto wait_exit = [&](double budget_ms, bool with_retired) {
     const auto t0 = Clock::now();
-    while (!all_exited() && ms_since(t0) < budget_ms) {
+    while (!all_exited(with_retired) && ms_since(t0) < budget_ms) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
       cv_worker_.notify_all();
     }
-    return all_exited();
+    return all_exited(with_retired);
   };
   // Phase 1: bounded drain — workers finish their in-flight solves and
   // exit once the queue is empty.
-  bool clean = wait_exit(std::max(0.0, cfg_.shutdown_drain_ms));
-  if (!clean) {
+  if (!wait_exit(std::max(0.0, cfg_.shutdown_drain_ms), false)) {
     // Phase 2: cancel whatever is still running and set kill flags (the
-    // injected-stall loop and any future uncooperative path poll them),
-    // then grant a short grace.
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      for (const auto& [id, job] : jobs_) {
-        if (job->state == Job::State::Running) job->token.cancel();
-      }
-      for (const auto& c : ctls_) c->killed.store(true, std::memory_order_relaxed);
+    // injected-stall loop and any future uncooperative path poll them).
+    std::lock_guard<std::mutex> lk(mu_);
+    for (const auto& [id, job] : jobs_) {
+      if (job->state == Job::State::Running) job->token.cancel();
     }
-    clean = wait_exit(std::max(0.0, cfg_.shutdown_kill_grace_ms));
+    for (const auto& c : ctls_) {
+      c->killed.store(true, std::memory_order_relaxed);
+    }
   }
+  // Then a short grace, which retired (stage-3) workers share: they
+  // already carry the kill flag, and a wedged one must not hold the
+  // whole drain budget.
+  wait_exit(std::max(0.0, cfg_.shutdown_kill_grace_ms), true);
   // Phase 3: join the exited, detach the stuck. A detached thread holds
   // shared_ptrs to its ctl and session, so the service can be destroyed
   // safely behind it; its job (if any) is completed WorkerLost here so
@@ -377,6 +387,13 @@ void SolveService::shutdown() {
       }
     }
     workers_.clear();
+    // A retired worker still running past the grace may yet touch mu_.
+    for (const auto& c : retired_) {
+      if (c->exited.load(std::memory_order_acquire)) continue;
+      ++leaked_workers_;
+      m.counter("service.leaked_workers").add(1);
+    }
+    retired_.clear();
   }
   cv_done_.notify_all();
 }
@@ -701,8 +718,8 @@ void SolveService::worker_main(std::shared_ptr<WorkerCtl> ctl,
                           ctl->job_id.load(std::memory_order_relaxed)),
                       0.0);
   }
+  // Last touch: once shutdown() sees this it may destroy the service.
   ctl->exited.store(true, std::memory_order_release);
-  cv_done_.notify_all();
 }
 
 void SolveService::complete_abandoned_locked(const std::shared_ptr<Job>& job,
@@ -806,6 +823,7 @@ void SolveService::supervisor_loop() {
                                     static_cast<int>(wi));
           m.counter("service.workers_lost").add(1);
           if (workers_[wi].joinable()) workers_[wi].detach();
+          retired_.push_back(ctls_[wi]);
           auto nctl = std::make_shared<WorkerCtl>();
           auto nws = std::make_shared<WorkerSession>();
           nws->rng = Rng(cfg_.backoff_seed +

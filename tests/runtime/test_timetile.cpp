@@ -13,10 +13,12 @@ namespace {
 
 using grid::Buffer;
 
+// All fields 8 bytes wide: no padding, so the byte dump gtest prints for
+// the parameter (and ctest puts in the test name) is the same every build.
 struct SweepCase {
-  int ndim;
+  poly::index_t ndim;
   poly::index_t n;
-  int steps;
+  poly::index_t steps;
   poly::index_t H, W;
 };
 

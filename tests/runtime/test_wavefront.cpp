@@ -11,10 +11,12 @@ namespace {
 
 using grid::Buffer;
 
+// All fields 8 bytes wide: no padding, so the byte dump gtest prints for
+// the parameter (and ctest puts in the test name) is the same every build.
 struct WfCase {
-  int ndim;
+  poly::index_t ndim;
   poly::index_t n;
-  int T;
+  poly::index_t T;
 };
 
 class WavefrontTest : public ::testing::TestWithParam<WfCase> {};

@@ -167,7 +167,8 @@ TEST_F(SupervisionTest, UncooperativeStallLosesWorkerAndReplaces) {
   // The replacement worker answers.
   const auto adm2 = svc.submit(make_req(small2d(), "t"));
   ASSERT_TRUE(adm2.admitted);
-  EXPECT_TRUE(svc.wait(adm2.ticket).converged);
+  const SolveResult res2 = svc.wait(adm2.ticket);
+  EXPECT_TRUE(res2.converged) << to_string(res2.status);
 
   // The killed zombie exits at its next poll: shutdown must not leak.
   svc.shutdown();
