@@ -1,4 +1,4 @@
-// Observability-plane microbenchmarks (DESIGN.md §14): what does the
+// Observability-plane microbenchmarks (DESIGN.md §13): what does the
 // telemetry cost, and how accurate is it?
 //
 //   1. Histogram accuracy — 200k deterministic lognormal-ish latency

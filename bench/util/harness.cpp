@@ -12,7 +12,6 @@
 #include "polymg/obs/metrics.hpp"
 #include "polymg/obs/report.hpp"
 #include "polymg/obs/trace.hpp"
-#include "polymg/solvers/metrics.hpp"
 
 namespace polymg::bench {
 
@@ -44,8 +43,6 @@ std::string to_string(Series s) {
       return "polymg-opt+";
     case Series::DtileOptPlus:
       return "polymg-dtile-opt+";
-    case Series::Mixed:
-      return "polymg-mixed";
   }
   return "?";
 }
@@ -53,20 +50,14 @@ std::string to_string(Series s) {
 const std::vector<Series>& all_series() {
   static const std::vector<Series> s = {
       Series::HandOpt, Series::HandOptPluto, Series::Naive,
-      Series::Opt,     Series::OptPlus,      Series::DtileOptPlus,
-      Series::Mixed};
+      Series::Opt,     Series::OptPlus,      Series::DtileOptPlus};
   return s;
 }
 
 SolveRunner make_runner(Series s, const CycleConfig& cfg, int cycles,
-                        std::uint64_t seed, opt::PrecisionPolicy precision) {
+                        std::uint64_t seed) {
   SolveRunner r;
   r.label = to_string(s);
-  // The mixed series is mixed even when the driver-wide --precision is
-  // the default; --precision=float narrows it further.
-  if (s == Series::Mixed && !precision.mixed()) {
-    precision.mode = opt::Precision::Mixed;
-  }
   // The problem is built once; each timed run restores the pristine
   // initial guess (a memcpy) and then solves — so timings cover the
   // multigrid cycles plus each variant's allocation behaviour, exactly
@@ -92,53 +83,8 @@ SolveRunner make_runner(Series s, const CycleConfig& cfg, int cycles,
                     : s == Series::DtileOptPlus ? Variant::DtileOptPlus
                                                 : Variant::OptPlus;
   CompileOptions co = CompileOptions::for_variant(v, cfg.ndim);
-  co.precision = precision;
   auto ex = std::make_shared<runtime::Executor>(
       opt::compile(solvers::build_cycle(cfg), co));
-
-  if (co.precision.mixed()) {
-    // Defect correction (the guarded solver's protocol): the iterate
-    // stays double; each cycle rounds the residual once into the plan's
-    // external dtypes, runs the narrowed cycle from a zero guess, and
-    // absorbs the correction with double accumulation. The timed loop
-    // pays for the extra residual + correction traffic — the reported
-    // mixed speedup is the end-to-end one, not just the cycle kernel.
-    const poly::Box dom = p->domain();
-    auto z64 = std::make_shared<grid::Buffer>();
-    auto r64 = std::make_shared<grid::Buffer>();
-    auto z32 = std::make_shared<grid::BufferF32>();
-    auto r32 = std::make_shared<grid::BufferF32>();
-    grid::View zv, rv;
-    if (ex->plan().dtype_of_external(0) == grid::DType::F32) {
-      *z32 = grid::make_grid_f32(dom);
-      zv = grid::View::over(z32->data(), dom);
-    } else {
-      *z64 = grid::make_grid(dom);
-      zv = grid::View::over(z64->data(), dom);
-    }
-    if (ex->plan().dtype_of_external(1) == grid::DType::F32) {
-      *r32 = grid::make_grid_f32(dom);
-      rv = grid::View::over(r32->data(), dom);
-    } else {
-      *r64 = grid::make_grid(dom);
-      rv = grid::View::over(r64->data(), dom);
-    }
-    // make_grid* zero-fills and the executor never writes externals, so
-    // the zero guess and the residual's boundary ring stay zero across
-    // cycles without re-clearing.
-    r.run = [cycles, ex, p, v0, z64, r64, z32, r32, zv, rv] {
-      grid::copy_region(p->v_view(), grid::View::over(v0->data(), p->domain()),
-                        p->domain());
-      for (int i = 0; i < cycles; ++i) {
-        solvers::residual_field(p->v_view(), p->f_view(), p->n, p->h, rv);
-        const std::vector<grid::View> ext = {zv, rv};
-        ex->run(ext);
-        grid::add_region(p->v_view(), ex->output_view(0), p->interior());
-      }
-    };
-    return r;
-  }
-
   r.run = [cfg, cycles, ex, p, v0] {
     grid::copy_region(p->v_view(), grid::View::over(v0->data(), p->domain()),
                       p->domain());
@@ -229,34 +175,6 @@ void apply_jit_from_options(const Options& opts) {
   if (mode != opt::JitMode::Auto) {
     std::printf("jit mode: %s\n", opt::to_string(mode).c_str());
   }
-}
-
-opt::PrecisionPolicy precision_from_options(const Options& opts) {
-  const std::string spec = opts.get("precision", "double");
-  opt::PrecisionPolicy p;
-  if (spec == "double") {
-    p.mode = opt::Precision::Double;
-  } else if (spec == "mixed") {
-    p.mode = opt::Precision::Mixed;
-  } else if (spec == "float") {
-    p.mode = opt::Precision::Float;
-  } else {
-    std::fprintf(
-        stderr,
-        "invalid --precision value '%s': expected double, mixed, or float\n",
-        spec.c_str());
-    std::exit(2);
-  }
-  if (p.mode != opt::Precision::Double) {
-    // Announce once: drivers validate in parse_bench_options and fetch
-    // the policy again where they use it.
-    static bool announced = false;
-    if (!announced) {
-      announced = true;
-      std::printf("precision: %s\n", opt::to_string(p.mode).c_str());
-    }
-  }
-  return p;
 }
 
 double deadline_ms_from_options(const Options& opts) {

@@ -16,7 +16,6 @@ using opt::CompiledPipeline;
 using opt::GroupExec;
 using opt::GroupPlan;
 using opt::StagePlan;
-using poly::index_t;
 
 const char* loop_var(int d, int ndim) {
   static const char* v2[] = {"i", "j", "k"};
@@ -285,76 +284,6 @@ std::string emit_c(const CompiledPipeline& plan, const std::string& name) {
        << plan.pipe.funcs[out].name << " */\n";
   }
   os << "}\n";
-  return os.str();
-}
-
-std::string emit_sched_c(const CompiledPipeline& plan,
-                         const std::string& name) {
-  const opt::SchedGraph& sg = plan.sched;
-  PMG_CHECK(!sg.empty(),
-            "emit_sched_c needs a plan compiled with dependence_schedule");
-  std::ostringstream os;
-
-  // Predecessor lists (the graph stores successors in CSR form).
-  std::vector<std::vector<index_t>> preds(
-      static_cast<std::size_t>(sg.total_tasks));
-  for (index_t t = 0; t < sg.total_tasks; ++t) {
-    for (index_t k = sg.succ_off[static_cast<std::size_t>(t)];
-         k < sg.succ_off[static_cast<std::size_t>(t) + 1]; ++k) {
-      preds[static_cast<std::size_t>(sg.succ[static_cast<std::size_t>(k)])]
-          .push_back(t);
-    }
-  }
-
-  os << "/* Dependence schedule of the compiled pipeline: one task per\n"
-     << " * tile/slab. depend(in: _tok[...]) are the plan's explicit\n"
-     << " * adjacent-node edges; depend(in: _done[k]) is the prefix gate\n"
-     << " * (node k+2 starts only after node k completes), which is what\n"
-     << " * lets edges look only one node back. The runtime executes this\n"
-     << " * same graph with an atomic ready queue instead of omp tasks. */\n";
-  os << "void " << name << "_sched(void)\n{\n";
-  os << "  char _tok[" << sg.total_tasks << "];   /* one token per task */\n";
-  os << "  char _done[" << sg.nodes.size() << "];  /* node completion */\n";
-  os << "#pragma omp parallel\n#pragma omp single\n  {\n";
-
-  for (std::size_t ni = 0; ni < sg.nodes.size(); ++ni) {
-    const opt::SchedNode& n = sg.nodes[ni];
-    const GroupPlan& g = plan.groups[static_cast<std::size_t>(n.group)];
-    const FunctionDecl& f =
-        plan.pipe.funcs[n.stage >= 0 ? g.stages[n.stage].func
-                                     : g.stages[g.anchor].func];
-    os << "    /* node " << ni << ": group " << n.group << " "
-       << (n.collective ? "time-tiled chain of "
-           : n.stage >= 0 ? "stage "
-                          : "tiles of ")
-       << f.name << ", " << n.ntasks << (n.ntasks == 1 ? " task" : " tasks")
-       << (n.serial ? " (below serial grain)" : "") << " */\n";
-    if (n.collective) {
-      // The team runs the split-tiled sweep between barriers; under a
-      // tasking backend that is a taskwait fence on both sides.
-      os << "#pragma omp taskwait\n";
-      os << "    time_tiled_sweep_node_" << ni << "();\n";
-      os << "    _done[" << ni << "] = 1;\n";
-      continue;
-    }
-    for (index_t t = n.task_base; t < n.task_base + n.ntasks; ++t) {
-      os << "#pragma omp task depend(out: _tok[" << t << "])";
-      if (ni >= 2) os << " depend(in: _done[" << ni - 2 << "])";
-      for (index_t p : preds[static_cast<std::size_t>(t)]) {
-        os << " depend(in: _tok[" << p << "])";
-      }
-      os << "\n";
-      os << "    exec_node_" << ni << "(/*task=*/" << t - n.task_base
-         << ");\n";
-    }
-    // Node-completion sentinel: fan-in over the node's tokens.
-    os << "#pragma omp task depend(iterator(i = " << n.task_base << ":"
-       << n.task_base + n.ntasks << "), in: _tok[i]) depend(out: _done["
-       << ni << "])\n";
-    os << "    ;  /* node " << ni << " complete */\n";
-  }
-
-  os << "  }\n}\n";
   return os.str();
 }
 

@@ -20,17 +20,6 @@ namespace polymg::codegen {
 std::string emit_c(const opt::CompiledPipeline& plan,
                    const std::string& name);
 
-/// Emit the plan's dependence schedule (CompiledPipeline::sched) as
-/// OpenMP-task C: one task per tile/slab with depend clauses for the
-/// graph's explicit edges plus per-node sentinel tasks encoding the
-/// prefix gate (a node's tasks wait on the node two before it). The
-/// executor runs this schedule directly through its atomic ready queue;
-/// the emitted text is the equivalent a tasking backend would generate,
-/// for inspection and tests. Requires a plan compiled with
-/// dependence_schedule enabled.
-std::string emit_sched_c(const opt::CompiledPipeline& plan,
-                         const std::string& name);
-
 /// Count the lines of the emitted program (Table 3's "Lines of gen" ).
 int generated_loc(const opt::CompiledPipeline& plan);
 

@@ -4,19 +4,12 @@
 
 namespace polymg::grid {
 
-template <typename T>
-void TBuffer<T>::fill(T v) {
-  std::fill_n(data_.get(), count_, v);
-}
+void Buffer::fill(double v) { std::fill_n(data_.get(), count_, v); }
 
-template <typename T>
-TBuffer<T> TBuffer<T>::clone() const {
-  TBuffer<T> b(count_);
-  if (count_ > 0) std::memcpy(b.data(), data_.get(), count_ * sizeof(T));
+Buffer Buffer::clone() const {
+  Buffer b(count_);
+  if (count_ > 0) std::memcpy(b.data(), data_.get(), count_ * sizeof(double));
   return b;
 }
-
-template class TBuffer<double>;
-template class TBuffer<float>;
 
 }  // namespace polymg::grid

@@ -1,10 +1,10 @@
-// Element type tags for the dtype-generic grid layer.
+// Element type tag of grid storage.
 //
-// PolyMG stores grid data as either IEEE double (the default, and the
-// only dtype the reference oracle ever needs) or IEEE float (the
-// mixed-precision fast path for memory-bound fine-grid stages). All
-// kernel arithmetic accumulates in double regardless of storage dtype;
-// a float grid costs exactly one rounding at each store.
+// PolyMG stores every grid as IEEE double, so DType has one value. It
+// and dtype_size exist only so the benchmark driver in perfbench/ keeps
+// compiling (it sizes plan traffic with them); drop both, together with
+// CompiledPipeline::dtype_of_func/dtype_of_external, once that driver
+// stops calling them.
 #pragma once
 
 #include <cstddef>
@@ -13,16 +13,9 @@
 namespace polymg::grid {
 
 enum class DType : std::uint8_t {
-  F64 = 0,  ///< IEEE binary64 (the historical, default dtype)
-  F32 = 1,  ///< IEEE binary32 (mixed-precision storage)
+  F64 = 0,  ///< IEEE binary64, the only storage type
 };
 
-constexpr std::size_t dtype_size(DType t) {
-  return t == DType::F32 ? sizeof(float) : sizeof(double);
-}
-
-constexpr const char* to_string(DType t) {
-  return t == DType::F32 ? "f32" : "f64";
-}
+constexpr std::size_t dtype_size(DType) { return sizeof(double); }
 
 }  // namespace polymg::grid

@@ -5,7 +5,7 @@
 // cover exactly the same interval. Counters are opened on the calling
 // thread (pid=0, cpu=-1) and follow it across CPUs, so a sample
 // attributes only that thread's work: roofline attribution therefore
-// runs the executor single-threaded (DESIGN.md §14 fallback ladder).
+// runs the executor single-threaded (DESIGN.md §13 fallback ladder).
 //
 // Degradation is graceful, never fatal:
 //  * non-Linux builds compile the syscall out — available() is false;

@@ -76,8 +76,6 @@ enum class EventKind : std::uint8_t {
   JitFallback,        ///< specialization unavailable (no toolchain,
                       ///< compile failure, injected jit.compile fault):
                       ///< the plan runs on the register engine
-  PrecisionCheck,     ///< mixed-precision oracle comparison: group=cycle,
-                      ///< id=1 violation / 0 clean, value=mixed residual
   RequestSpan,        ///< one request's in-worker residency (dequeue ->
                       ///< completion): group=tenant index, id=ticket,
                       ///< value=deadline ms (0 = none), req=ticket

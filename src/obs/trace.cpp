@@ -86,7 +86,6 @@ const char* to_string(EventKind k) {
     case EventKind::JitCompile: return "jit_compile";
     case EventKind::JitCacheHit: return "jit_cache_hit";
     case EventKind::JitFallback: return "jit_fallback";
-    case EventKind::PrecisionCheck: return "precision_check";
     case EventKind::RequestSpan: return "request";
     case EventKind::RequestQueueWait: return "request_queue_wait";
     case EventKind::StallDetected: return "stall_detected";

@@ -127,7 +127,7 @@ public:
   /// sampled. Returns false when the kernel refuses perf_event_open
   /// (containers, paranoid settings, non-Linux); attribution stays armed
   /// and run_report() emits the model-only roofline rows — callers skip
-  /// the hw columns, they do not fail (DESIGN.md §14).
+  /// the hw columns, they do not fail (DESIGN.md §13).
   bool enable_perf_attribution();
   void disable_perf_attribution();
   bool perf_attribution_enabled() const { return perf_ != nullptr; }
@@ -191,12 +191,8 @@ private:
     int end_node = 0;  ///< exclusive
   };
 
-  /// View over a live full array, shaped by `shape` and tagged with the
-  /// storage dtype the plan assigned to `func` (arrays themselves are
-  /// dtype-agnostic double-unit storage; the tag drives every kernel's
-  /// load/store width).
-  View array_view(int array_id, const ir::FunctionDecl& shape,
-                  int func) const;
+  /// View over a live full array, shaped by `shape`.
+  View array_view(int array_id, const ir::FunctionDecl& shape) const;
   View resolve_bind(const SourceBind& b, std::span<const View> externals,
                     std::span<const View> scratch_views) const;
 
@@ -256,6 +252,10 @@ private:
   opt::CompiledPipeline plan_;
   MemoryPool pool_;
   std::vector<double*> array_ptr_;        // per array id, null until live
+  /// Pool buffer each array held last run. Every run issues the same
+  /// allocate/release sequence, so asking for the same buffers again
+  /// reproduces the first run's assignment and a warm run never mallocs.
+  std::vector<double*> array_home_;
   std::vector<grid::Buffer> unpooled_;    // per array id (non-pooled mode)
   std::vector<std::vector<double>> arena_;  // per-thread scratch arena
   index_t arena_doubles_ = 0;

@@ -29,9 +29,10 @@ public:
   MemoryPool(const MemoryPool&) = delete;
   MemoryPool& operator=(const MemoryPool&) = delete;
 
-  /// Return a buffer of at least `doubles` elements: a free pooled buffer
-  /// when one fits (first fit), otherwise a fresh allocation.
-  double* pool_allocate(index_t doubles);
+  /// Return a buffer of at least `doubles` elements: `prefer` when it is
+  /// a free pooled buffer that fits, else the tightest free pooled buffer
+  /// that fits, otherwise a fresh allocation.
+  double* pool_allocate(index_t doubles, const double* prefer = nullptr);
 
   /// Mark the buffer free for reuse. `p` must have come from
   /// pool_allocate and not already be free.

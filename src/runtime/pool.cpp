@@ -44,7 +44,7 @@ MemoryPool::MemoryPool() {
   g_bytes_live_ = &m.gauge("pool.bytes_live");
 }
 
-double* MemoryPool::pool_allocate(index_t doubles) {
+double* MemoryPool::pool_allocate(index_t doubles, const double* prefer) {
   PMG_CHECK(doubles >= 0, "negative allocation");
   if (fault::should_fail(fault::kPoolAlloc)) {
     obs::Metrics::instance().counter("fault.pool_alloc").add(1);
@@ -54,14 +54,16 @@ double* MemoryPool::pool_allocate(index_t doubles) {
                 "injected fault: pooled allocation of " +
                     std::to_string(doubles) + " doubles failed");
   }
-  // First fit over the free entries, preferring the tightest one so big
-  // buffers stay available for big requests.
+  // The caller's preferred buffer if it is free and fits; otherwise the
+  // tightest free fit, so big buffers stay available for big requests.
   Entry* best = nullptr;
   for (Entry& e : entries_) {
-    if (e.free && e.doubles >= doubles &&
-        (best == nullptr || e.doubles < best->doubles)) {
+    if (!e.free || e.doubles < doubles) continue;
+    if (prefer != nullptr && e.data.get() == prefer) {
       best = &e;
+      break;
     }
+    if (best == nullptr || e.doubles < best->doubles) best = &e;
   }
   if (best != nullptr) {
     best->free = false;

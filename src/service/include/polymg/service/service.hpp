@@ -30,8 +30,8 @@
 //    self-heals stalls with an escalation ladder — cooperative cancel,
 //    session quarantine, declare the worker lost and spawn a
 //    replacement — and shutdown() drains with a deadline instead of
-//    joining unconditionally (DESIGN.md §15);
-//  * every request is observable (DESIGN.md §14): queue/solve/e2e
+//    joining unconditionally (DESIGN.md §14);
+//  * every request is observable (DESIGN.md §13): queue/solve/e2e
 //    latency lands in lock-free histograms (aggregate and per tenant),
 //    per-tenant SLO gauges track deadline-hit/shed ratios and
 //    error-budget burn, the ticket rides through the executor span
@@ -104,7 +104,7 @@ struct ServiceConfig {
   double relax_tol_factor = 10.0;
   int capped_cycles = 8;
 
-  // Self-healing supervision (DESIGN.md §15). The watchdog samples each
+  // Self-healing supervision (DESIGN.md §14). The watchdog samples each
   // worker's progress heartbeat — bumped at every executor granule and
   // every solver cycle — and escalates a busy worker whose heartbeat
   // freezes: after stall_timeout_ms a cooperative cancel of the running

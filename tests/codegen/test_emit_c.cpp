@@ -51,40 +51,6 @@ TEST(EmitC, ExpressionsRendered) {
   EXPECT_NE(code.find("F("), std::string::npos);
 }
 
-TEST(EmitC, SchedEmitsOneTaskPerTileWithDepends) {
-  const opt::CompiledPipeline cp = plan(Variant::OptPlus);
-  ASSERT_FALSE(cp.sched.empty());
-  const std::string code = emit_sched_c(cp, "pipeline_Vcycle");
-  EXPECT_NE(code.find("void pipeline_Vcycle_sched(void)"), std::string::npos);
-  // One parallel region; tasks carry explicit-edge and gate depends.
-  EXPECT_EQ(code.find("#pragma omp parallel"),
-            code.rfind("#pragma omp parallel"));
-  EXPECT_NE(code.find("#pragma omp task depend(out: _tok[0])"),
-            std::string::npos);
-  EXPECT_NE(code.find("depend(in: _done["), std::string::npos);
-  // One token definition per task and one sentinel per node.
-  const std::string tok_decl =
-      "char _tok[" + std::to_string(cp.sched.total_tasks) + "]";
-  EXPECT_NE(code.find(tok_decl), std::string::npos);
-  std::size_t tasks = 0;
-  for (std::size_t at = code.find("depend(out: _tok["); at != std::string::npos;
-       at = code.find("depend(out: _tok[", at + 1)) {
-    ++tasks;
-  }
-  EXPECT_EQ(tasks, static_cast<std::size_t>(cp.sched.total_tasks));
-}
-
-TEST(EmitC, SchedEmitsTaskwaitAroundTimeTiledChains) {
-  const opt::CompiledPipeline cp = plan(Variant::DtileOptPlus);
-  ASSERT_FALSE(cp.sched.empty());
-  bool has_collective = false;
-  for (const auto& n : cp.sched.nodes) has_collective |= n.collective;
-  ASSERT_TRUE(has_collective);
-  const std::string code = emit_sched_c(cp, "p");
-  EXPECT_NE(code.find("#pragma omp taskwait"), std::string::npos);
-  EXPECT_NE(code.find("time_tiled_sweep_node_"), std::string::npos);
-}
-
 TEST(EmitC, GeneratedLocTracksComplexity) {
   CycleConfig v;
   v.ndim = 2;

@@ -21,6 +21,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -494,6 +495,65 @@ TEST(Jit, WrongKeyModuleIsStale) {
   runtime::apply_regprog(ir::compile_regprog(bc_b), rv, srcs, region);
   EXPECT_EQ(0, std::memcmp(got.data(), ref.data(),
                            sizeof(double) * got.size()));
+}
+
+TEST(Jit, PreviousAbiModuleIsRejectedAndRebuilt) {
+  if (!toolchain()) GTEST_SKIP() << "no host compiler";
+  const std::string dir = fresh_cache_dir("oldabi");
+  const Stencil c = bench_stencils()[0];
+  const ir::Bytecode bc = ir::compile_bytecode(c.expr);
+  ASSERT_TRUE(static_cast<bool>(jit_kernel_for_def(c.ndim, bc)));
+  std::string so, csrc;
+  for (const auto& e : std::filesystem::directory_iterator(dir)) {
+    if (e.path().extension() == ".so") so = e.path().string();
+    if (e.path().extension() == ".c") csrc = e.path().string();
+  }
+  ASSERT_FALSE(so.empty());
+  ASSERT_FALSE(csrc.empty());
+
+  // Rebuild the cached module from its own source with the previous ABI
+  // version stamped in: same key, same kernels, so only the version
+  // check can tell it apart from a good entry.
+  std::string text;
+  {
+    std::ifstream is(csrc);
+    text.assign(std::istreambuf_iterator<char>(is), {});
+  }
+  const std::string cur =
+      "pmg_abi_version = " + std::to_string(ir::kJitAbiVersion) + ";";
+  const std::size_t at = text.find(cur);
+  ASSERT_NE(at, std::string::npos);
+  text.replace(at, cur.size(),
+               "pmg_abi_version = " +
+                   std::to_string(ir::kJitAbiVersion - 1) + ";");
+  const std::string old_src = dir + "/old-abi.c";
+  {
+    std::ofstream os(old_src);
+    os << text;
+  }
+  const char* cc = std::getenv("POLYMG_JIT_CC");
+  const std::string cmd = std::string(cc != nullptr && *cc ? cc : "cc") +
+                          " -O1 -fPIC -shared -o " + dir + "/old-abi.so " +
+                          old_src;
+  ASSERT_EQ(std::system(cmd.c_str()), 0) << cmd;
+  // dlclose the loaded module before replacing its file (SIGBUS).
+  jit_clear_memory_cache();
+  std::filesystem::rename(dir + "/old-abi.so", so);
+
+  const std::uint64_t s0 = ctr("jit.stale_rejects");
+  const std::uint64_t c0 = ctr("jit.compiles");
+  const JitKernel k = jit_kernel_for_def(c.ndim, bc);
+  ASSERT_TRUE(static_cast<bool>(k));
+  EXPECT_EQ(ctr("jit.stale_rejects"), s0 + 1);
+  EXPECT_EQ(ctr("jit.compiles"), c0 + 1);
+
+  // The rebuilt entry carries the current version: a fresh load is a
+  // disk hit, not another reject.
+  jit_clear_memory_cache();
+  const std::uint64_t d0 = ctr("jit.disk_hits");
+  ASSERT_TRUE(static_cast<bool>(jit_kernel_for_def(c.ndim, bc)));
+  EXPECT_EQ(ctr("jit.disk_hits"), d0 + 1);
+  EXPECT_EQ(ctr("jit.stale_rejects"), s0 + 1);
 }
 
 // -- fallback ladder --------------------------------------------------

@@ -1,4 +1,4 @@
-// The sandboxed JIT compile path (DESIGN.md §15): a wedged toolchain
+// The sandboxed JIT compile path (DESIGN.md §14): a wedged toolchain
 // (fault site jit.hang) is killed by the waitpid watchdog within the
 // compile budget and degrades to the interpreted engines byte-for-byte;
 // a full cache volume (fault site cache.enospc) degrades the same way;

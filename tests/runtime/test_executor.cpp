@@ -3,6 +3,7 @@
 // pipeline with a live-out that has in-group consumers.
 #include <gtest/gtest.h>
 
+#include "polymg/common/parallel.hpp"
 #include "polymg/common/rng.hpp"
 #include "polymg/runtime/executor.hpp"
 #include "polymg/solvers/cycles.hpp"
@@ -13,6 +14,7 @@ namespace {
 
 using opt::CompileOptions;
 using opt::Variant;
+using poly::index_t;
 using solvers::CycleConfig;
 
 CycleConfig small2d() {
@@ -39,17 +41,49 @@ TEST(Executor, RepeatedRunsGiveIdenticalResults) {
             0.0);
 }
 
-TEST(Executor, PooledModeHasNoSteadyStateMallocs) {
-  CycleConfig cfg = small2d();
-  auto p = solvers::PoissonProblem::random_rhs(2, cfg.n, 6);
-  Executor ex(opt::compile(solvers::build_cycle(cfg),
-                           CompileOptions::for_variant(Variant::OptPlus, 2)));
-  const std::vector<View> ext = {p.v_view(), p.f_view()};
+/// Run `ex` `runs` times and check that every run after the first leaves
+/// the pool exactly as the first did: no new mallocs, no growth.
+void expect_pool_steady(Executor& ex, const std::vector<View>& ext,
+                        int runs) {
   ex.run(ext);
   const long mallocs_after_first = ex.pool().malloc_calls();
-  for (int i = 0; i < 3; ++i) ex.run(ext);
-  EXPECT_EQ(ex.pool().malloc_calls(), mallocs_after_first);
+  const index_t doubles_after_first = ex.pool().total_doubles();
+  for (int i = 1; i < runs; ++i) {
+    ex.run(ext);
+    EXPECT_EQ(ex.pool().malloc_calls(), mallocs_after_first) << "run " << i;
+    EXPECT_EQ(ex.pool().total_doubles(), doubles_after_first) << "run " << i;
+  }
   EXPECT_GT(ex.pool().reuse_hits(), 0);
+}
+
+TEST(Executor, PooledModeHasNoSteadyStateMallocs) {
+  {
+    CycleConfig cfg = small2d();
+    auto p = solvers::PoissonProblem::random_rhs(2, cfg.n, 6);
+    Executor ex(opt::compile(solvers::build_cycle(cfg),
+                             CompileOptions::for_variant(Variant::OptPlus, 2)));
+    expect_pool_steady(ex, {p.v_view(), p.f_view()}, 4);
+  }
+  // Fig. 9's W-2D-10-0-0 at 1023^2: best fit over a warm pool once
+  // picked other buffers than the first run's sequence did and made a
+  // ninth malloc on the second run. Checked on one thread and a team.
+  CycleConfig cfg;
+  cfg.ndim = 2;
+  cfg.n = 1023;
+  cfg.levels = 4;
+  cfg.kind = solvers::CycleKind::W;
+  cfg.n1 = 10;
+  cfg.n2 = 0;
+  cfg.n3 = 0;
+  auto p = solvers::PoissonProblem::random_rhs(2, cfg.n, 6);
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(::testing::Message() << threads << " thread(s)");
+    const int prev = set_num_threads(threads);
+    Executor ex(opt::compile(solvers::build_cycle(cfg),
+                             CompileOptions::for_variant(Variant::OptPlus, 2)));
+    expect_pool_steady(ex, {p.v_view(), p.f_view()}, 3);
+    set_num_threads(prev);
+  }
 }
 
 TEST(Executor, NonPooledModeUsesNoPool) {

@@ -412,7 +412,7 @@ TEST_F(ServiceTest, QueueFillDegradesBeforeShedding) {
 }
 
 // ---------------------------------------------------------------------
-// Observability plane (DESIGN.md §14): request-correlated spans,
+// Observability plane (DESIGN.md §13): request-correlated spans,
 // latency histograms, SLO gauges and the scrape endpoint.
 
 TEST_F(ServiceTest, RequestSpansCarryTheTicketThroughTheExecutor) {

@@ -1,4 +1,4 @@
-// Self-healing supervision (DESIGN.md §15): the solve watchdog's
+// Self-healing supervision (DESIGN.md §14): the solve watchdog's
 // escalation ladder against injected uncooperative stalls, the bounded
 // shutdown drain, cancel racing dequeue, and the progress-epoch
 // heartbeat the whole plane is built on.

@@ -80,6 +80,32 @@ TEST_F(GuardedSolveTest, DivergentGsrbRecoversViaSmootherDowngrade) {
   EXPECT_TRUE(rep.attempts[2].converged);
 }
 
+TEST_F(GuardedSolveTest, LadderWalksRungsInOrder) {
+  // GSRB over-relaxation diverges, and so does weighted Jacobi at omega
+  // 1.9: only the fourth rung (omega backoff) converges, so the attempt
+  // list shows the whole ladder order.
+  CycleConfig cfg = healthy2d();
+  cfg.smoother = SmootherKind::GSRB;
+  cfg.gsrb_omega = 2.1;
+  cfg.omega = 1.9;
+  PoissonProblem p = PoissonProblem::manufactured(2, cfg.n);
+  GuardPolicy policy;
+  policy.max_attempts = 4;
+  const SolveReport rep = guarded_solve(cfg, p, 1e-6, policy);
+  EXPECT_TRUE(rep.converged) << rep.summary();
+  ASSERT_EQ(rep.attempts.size(), 4u) << rep.summary();
+  const RungKind order[] = {RungKind::AsConfigured, RungKind::ReferencePlan,
+                            RungKind::SmootherDowngrade,
+                            RungKind::OmegaBackoff};
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(rep.attempts[i].kind, order[i]) << "attempt " << i;
+    EXPECT_EQ(rep.attempts[i].converged, i == 3) << "attempt " << i;
+  }
+  EXPECT_EQ(rep.attempts[1].description, "reference plan");
+  EXPECT_EQ(rep.attempts[2].description, "GSRB -> Jacobi");
+  EXPECT_EQ(rep.attempts[3].description, "omega -> 0.95");
+}
+
 TEST_F(GuardedSolveTest, StagnationIsReportedHonestly) {
   CycleConfig cfg;
   cfg.ndim = 2;
