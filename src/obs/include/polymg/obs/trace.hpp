@@ -1,11 +1,11 @@
 // polymg::obs — lock-free per-thread trace sink.
 //
 // Every runtime layer (executor, scheduler, pool, guarded execution, the
-// distributed backend) records typed events here: tile/slab executions
-// with group/stage/node ids, queue-starvation waits, gate opens, pool
-// traffic, halo exchanges, fallbacks and health-scan verdicts. Recording
-// is a single bounds-checked store into a preallocated per-thread ring
-// buffer — no locks, no atomics beyond one relaxed enabled-flag load, no
+// service) records typed events here: tile/slab executions with
+// group/stage/node ids, queue-starvation waits, gate opens, pool traffic,
+// fallbacks and health-scan verdicts. Recording is a single
+// bounds-checked store into a preallocated per-thread ring buffer — no
+// locks, no atomics beyond one relaxed enabled-flag load, no
 // heap traffic — so tracing a steady-state run stays inside the
 // executor's zero-allocation envelope, and a disabled trace costs one
 // relaxed load per would-be event (asserted bit-exact and zero-alloc by
@@ -42,9 +42,6 @@ enum class EventKind : std::uint8_t {
   PoolAlloc,     ///< pool allocation: id=1 reuse hit / 0 fresh, value=bytes
   PoolRelease,   ///< pool release: value=bytes
   ScratchBind,   ///< scratchpad bound for a tile: id=tile, value=bytes
-  HaloExchange,  ///< one halo-exchange round: group=level, stage=field,
-                 ///< value=doubles moved
-  HaloRetry,     ///< one halo message re-send: group=level
   FaultInjected, ///< an armed fault site fired: id encodes the site
   Fallback,      ///< guarded executor served a run from the reference plan
   HealthScan,    ///< output non-finite scan: value=1 healthy / 0 not
@@ -54,9 +51,6 @@ enum class EventKind : std::uint8_t {
   CheckpointWrite,    ///< checkpoint committed: id=next cycle, value=bytes
   CheckpointRestore,  ///< state rolled back to a checkpoint: id=next
                       ///< cycle, value=1 checksum ok / 0 corrupt
-  RankDeath,          ///< a rank stopped answering: group=level, id=rank
-  Recovery,           ///< shrink-to-survivors completed: id=dead rank,
-                      ///< value=doubles redistributed
   SdcDetected,        ///< silent-data-corruption guard fired:
                       ///< group=cycle, value=suspect residual
   RequestAdmit,       ///< service admitted a request: id=ticket,

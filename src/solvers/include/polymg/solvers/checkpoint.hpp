@@ -12,8 +12,7 @@
 // re-verifies it, so a payload corrupted in storage (fault site
 // `checkpoint.corrupt`, or a real bad DIMM) is detected instead of being
 // smoothed into the iterate — the caller then falls back to a stronger
-// remedy (guarded_solve walks its degradation ladder; the distributed
-// solver declares the recovery unserviceable).
+// remedy (guarded_solve walks its degradation ladder).
 //
 // Capture protocol: begin() → save()/set_meta() per slot → commit().
 // A checkpoint is only valid() after commit(); a crash mid-capture
